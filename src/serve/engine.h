@@ -8,9 +8,13 @@
  * Once LUTBoost freezes a model, inference is pure table-gather-and-
  * accumulate — an embarrassingly batchable workload. The engine exploits
  * that with a bounded MPMC request queue and a worker pool that performs
- * dynamic batching: a worker opens a batch with the first request it pops,
- * then keeps admitting requests until the batch holds `max_batch` rows or
- * `max_wait_us` has elapsed since the batch opened, whichever comes first.
+ * dynamic batching: a worker opens a batch with the first request it pops
+ * and admits every request already queued, up to `max_batch` rows. Once
+ * the queue is empty the batch waits for more arrivals only while every
+ * other worker is busy, and at most `max_wait_us` after it opened: an
+ * idle worker would take the next arrival itself, so holding the batch
+ * open then only adds latency (work-conserving batching). A one-worker
+ * engine always waits out the window.
  * The coalesced rows run through the frozen stage graph
  * (FrozenModel::forwardBatch): each worker iterates the model's stages with
  * its own reusable StageScratch, so steady-state batches perform no
@@ -69,7 +73,8 @@ struct EngineOptions
     int threads = 0;
     /** Max rows per executed batch (also the per-request row cap). */
     int64_t max_batch = 64;
-    /** Max microseconds a batch waits for more rows after it opens. */
+    /** Max microseconds an open batch waits for more rows while every
+     * other worker is busy (an idle worker closes the batch at once). */
     int64_t max_wait_us = 200;
     /** Bounded request-queue capacity (requests, not rows). */
     int64_t queue_capacity = 256;

@@ -48,6 +48,10 @@ FrontDoor::start()
     if (started_ || closed_)
         return;
     started_ = true;
+    {
+        std::unique_lock<std::mutex> stats_lock(stats_mu_);
+        worker_active_.assign(static_cast<size_t>(options_.threads), 0);
+    }
     workers_.reserve(static_cast<size_t>(options_.threads));
     for (int i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
@@ -260,6 +264,9 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
         model_accum_[model].accepted++;
         tenant_accum_[tenant].accepted++;
     }
+    // Notify after unlocking, so the woken worker does not wake only to
+    // block on the mutex this submitter still holds.
+    lock.unlock();
     work_.notify_one();
     return future;
 }
@@ -338,20 +345,22 @@ FrontDoor::claimableTaskLocked() const
     return nullptr;
 }
 
-void
+bool
 FrontDoor::runShards(ShardTask &task, StageScratch &scratch)
 {
+    bool ran = false;
     while (true) {
         const int64_t block =
             task.next.fetch_add(1, std::memory_order_relaxed);
         if (block >= task.blocks)
-            return;
+            return ran;
         task.fn(block, scratch);
         if (task.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             task.blocks) {
             std::unique_lock<std::mutex> lock(mu_);
             task_done_.notify_all();
         }
+        ran = true;
     }
 }
 
@@ -389,7 +398,6 @@ FrontDoor::parallelFor(int64_t blocks, const ShardFn &fn,
 void
 FrontDoor::workerLoop(int slot)
 {
-    (void)slot;
     // Worker-lifetime scratch, same contract as the engine: buffers grow
     // to the largest batch seen and are reused; with more than one
     // worker the scratch carries the intra-batch pool so LUT stages this
@@ -398,15 +406,29 @@ FrontDoor::workerLoop(int slot)
     if (options_.threads > 1)
         scratch.pool = this;
 
+    const auto ready = [&] {
+        return closed_ || total_queued_ > 0 ||
+               claimableTaskLocked() != nullptr;
+    };
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
-        work_.wait(lock, [&] {
-            return closed_ || total_queued_ > 0 ||
-                   claimableTaskLocked() != nullptr;
-        });
+        if (!ready()) {
+            // Parking idle: an open batch window must not keep waiting
+            // while this worker could take the next arrival.
+            ++idle_workers_;
+            if (window_waiters_ > 0)
+                work_.notify_all();
+            work_.wait(lock, ready);
+            --idle_workers_;
+        }
         if (auto task = claimableTaskLocked()) {
             lock.unlock();
-            runShards(*task, scratch);
+            // A worker that only steals shard blocks still did real
+            // batch work and counts as active.
+            if (runShards(*task, scratch)) {
+                std::unique_lock<std::mutex> stats_lock(stats_mu_);
+                worker_active_[static_cast<size_t>(slot)] = 1;
+            }
             lock.lock();
             continue;
         }
@@ -495,21 +517,27 @@ FrontDoor::workerLoop(int slot)
                 break;
             // Strictly higher-priority pending work closes the window
             // early: an interactive model never waits out a bulk
-            // model's batch window.
-            if (higherPriorityPendingLocked(slo.priority))
+            // model's batch window. So does an idle worker: it takes
+            // the next arrival itself, so waiting would only add latency
+            // (work-conserving batching; one worker always waits).
+            if (higherPriorityPendingLocked(slo.priority) ||
+                idle_workers_ > 0)
                 break;
+            ++window_waiters_;
             work_.wait_for(lock, remaining);
+            --window_waiters_;
         }
 
         lock.unlock();
-        executeBatch(batch, rows, snapshot, scratch);
+        executeBatch(batch, rows, snapshot, scratch, slot);
         lock.lock();
     }
 }
 
 void
 FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
-                        const SnapshotPtr &snapshot, StageScratch &scratch)
+                        const SnapshotPtr &snapshot, StageScratch &scratch,
+                        int slot)
 {
     const FrozenModel &model = snapshot->model;
     const int64_t in_width = model.inputWidth();
@@ -532,7 +560,11 @@ FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
     {
         std::unique_lock<std::mutex> stats_lock(stats_mu_);
         batches_++;
-        last_version_[snapshot->name] = snapshot->version;
+        worker_active_[static_cast<size_t>(slot)] = 1;
+        // Newest version served: a batch pinned to an older snapshot
+        // that finishes after a newer one must not roll it back.
+        uint64_t &last = last_version_[snapshot->name];
+        last = std::max(last, snapshot->version);
         LaneAccum &model_lane = model_accum_[snapshot->name];
         for (const Req &req : batch) {
             const auto micros = [](Clock::duration d) {
@@ -602,6 +634,8 @@ FrontDoor::stats() const
     std::unique_lock<std::mutex> lock(stats_mu_);
     FrontDoorStats out;
     out.batches = batches_;
+    for (uint8_t ran : worker_active_)
+        out.active_workers += ran != 0 ? 1 : 0;
     snapshotLane(total_accum_, out.total);
     for (const auto &entry : model_accum_)
         snapshotLane(entry.second, out.models[entry.first]);

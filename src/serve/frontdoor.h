@@ -14,11 +14,14 @@
  * live in per-model queues kept in EDF (earliest-deadline-first) order;
  * an idle worker always dispatches the model whose head request has the
  * highest priority, breaking ties by earliest deadline. Once a batch
- * opens it admits further requests for the SAME model snapshot in EDF
- * order until `slo.max_batch` rows or the `slo.batch_window_us` window
- * closes — and the window closes early when strictly higher-priority
- * work arrives for another model, so an interactive model never waits
- * out a bulk model's batch window.
+ * opens it admits every queued request for the SAME model snapshot in
+ * EDF order, up to `slo.max_batch` rows. When none is left it waits for
+ * more only while every other worker is busy, and at most
+ * `slo.batch_window_us` after it opened: an idle worker takes the next
+ * arrival itself, so the window closes at once (work-conserving
+ * batching; a one-worker pool always waits). The window also closes
+ * early when strictly higher-priority work arrives for another model, so
+ * an interactive model never waits out a bulk model's batch window.
  *
  * Overload contract: admission never blocks the submitter. When the
  * bounded queue is full, the scheduler sheds — an incoming request of
@@ -267,11 +270,15 @@ class FrontDoor : private IntraBatchPool
     bool higherPriorityPendingLocked(int priority) const;
     /** Claimable shard task, or nullptr. mu_ held. */
     std::shared_ptr<ShardTask> claimableTaskLocked() const;
-    void runShards(ShardTask &task, StageScratch &scratch);
+    /** Claim-and-run loop every shard participant executes. Returns
+     * whether this participant executed at least one block, so shard
+     * helpers count as active workers. */
+    bool runShards(ShardTask &task, StageScratch &scratch);
     void parallelFor(int64_t blocks, const ShardFn &fn,
                      StageScratch &caller) override;
     void executeBatch(std::vector<Req> &batch, int64_t rows,
-                      const SnapshotPtr &snapshot, StageScratch &scratch);
+                      const SnapshotPtr &snapshot, StageScratch &scratch,
+                      int slot);
     void failRemaining();
 
     /** Settle a request with a typed error and bump its shed counter. */
@@ -287,6 +294,8 @@ class FrontDoor : private IntraBatchPool
     std::map<std::string, std::deque<Req>> queues_;  ///< EDF per model
     std::vector<std::shared_ptr<ShardTask>> tasks_;
     int64_t total_queued_ = 0;
+    int idle_workers_ = 0;    ///< workers parked in workerLoop's wait
+    int window_waiters_ = 0;  ///< batch windows waiting for arrivals
     uint64_t next_seq_ = 0;
     bool started_ = false;
     bool closed_ = false;
@@ -304,6 +313,8 @@ class FrontDoor : private IntraBatchPool
 
     mutable std::mutex stats_mu_;
     uint64_t batches_ = 0;
+    /** Per-slot participation, sized in start() before any worker runs. */
+    std::vector<uint8_t> worker_active_;
     LaneAccum total_accum_;
     std::map<std::string, LaneAccum> model_accum_;
     std::map<std::string, LaneAccum> tenant_accum_;

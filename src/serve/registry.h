@@ -49,7 +49,8 @@ struct ModelSlo
 {
     /** Max rows per executed batch (also the per-request row cap). */
     int64_t max_batch = 64;
-    /** Max microseconds a batch waits for more rows after it opens. */
+    /** Max microseconds an open batch waits for more rows while every
+     * other worker is busy (an idle worker closes the batch at once). */
     int64_t batch_window_us = 200;
     /**
      * Deadline applied to requests that do not carry their own, in

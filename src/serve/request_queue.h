@@ -24,6 +24,11 @@
  * StageScratch (passed by the worker loop), which is what keeps the
  * kernels allocation-free and race-free.
  *
+ * Work-conserving windows: the queue counts the workers parked idle in
+ * popWork(), and popIf() — the batcher's "wait for one more row" — does
+ * not wait while that count is above zero. A worker that parks wakes any
+ * waiting batcher, so an open window never outlasts an idle worker.
+ *
  * Close semantics: after close(), pushes are refused but request pops
  * keep draining, and workers still steal whatever shard blocks remain —
  * an in-flight batch always completes. That is the graceful-shutdown
@@ -133,10 +138,19 @@ class WorkQueue
     popWork(std::shared_ptr<ShardTask> &task)
     {
         std::unique_lock<std::mutex> lock(mu_);
+        const auto ready = [&] {
+            return closed_ || !items_.empty() || claimableLocked();
+        };
         while (true) {
-            work_.wait(lock, [&] {
-                return closed_ || !items_.empty() || claimableLocked();
-            });
+            if (!ready()) {
+                // Parking idle: an open batch window must not keep
+                // waiting while this worker could take the next arrival.
+                ++idle_;
+                if (window_waiters_ > 0)
+                    work_.notify_all();
+                work_.wait(lock, ready);
+                --idle_;
+            }
             task = claimableTaskLocked();
             if (task)
                 return std::nullopt;
@@ -151,23 +165,28 @@ class WorkQueue
     }
 
     /**
-     * Dequeue the front request only if `admit(front)` accepts it,
-     * waiting up to `timeout` for one to arrive. Returns nullopt on
-     * timeout, on a rejected front item (left in place), or when closed
-     * and drained — all three mean "close the current batch" to the
-     * engine's batcher. Shard work never interrupts batch filling; the
-     * worker helps again once its own batch is done.
+     * Dequeue the front request only if `admit(front)` accepts it. When
+     * the queue is empty, wait up to `timeout` for one to arrive — but
+     * only while no other worker is parked idle in popWork(): an idle
+     * worker takes the next arrival itself, so holding the batch open
+     * would add latency and gain nothing (work-conserving batching).
+     * Returns nullopt on timeout, when a worker is idle, on a rejected
+     * front item (left in place), or when closed and drained — all mean
+     * "close the current batch" to the engine's batcher. Shard work
+     * never interrupts batch filling; the worker helps again once its
+     * own batch is done.
      */
     template <typename Pred>
     std::optional<T>
     popIf(std::chrono::steady_clock::duration timeout, const Pred &admit)
     {
         std::unique_lock<std::mutex> lock(mu_);
-        if (!work_.wait_for(lock, timeout, [&] {
-                return closed_ || !items_.empty();
-            }))
-            return std::nullopt;
-        if (!items_.empty() && !admit(items_.front()))
+        ++window_waiters_;
+        work_.wait_for(lock, timeout, [&] {
+            return closed_ || !items_.empty() || idle_ > 0;
+        });
+        --window_waiters_;
+        if (items_.empty() || !admit(items_.front()))
             return std::nullopt;
         return takeFrontLocked();
     }
@@ -290,6 +309,8 @@ class WorkQueue
     std::vector<std::shared_ptr<ShardTask>> tasks_;
     size_t capacity_;
     bool closed_ = false;
+    int idle_ = 0;            ///< workers parked in popWork()
+    int window_waiters_ = 0;  ///< batchers waiting in popIf()
 };
 
 } // namespace lutdla::serve

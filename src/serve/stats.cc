@@ -185,9 +185,9 @@ FrontDoorStats::summary() const
     char line[160];
     std::snprintf(line, sizeof(line),
                   "front door: %llu batches across %zu models, "
-                  "%zu tenants\n",
+                  "%zu tenants, %d active workers\n",
                   static_cast<unsigned long long>(batches), models.size(),
-                  tenants.size());
+                  tenants.size(), active_workers);
     out += line;
     out += laneLine("total", total);
     for (const auto &entry : models) {

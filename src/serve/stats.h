@@ -207,18 +207,24 @@ struct LaneStats
 /**
  * Snapshot of a FrontDoor's lifetime counters: totals plus one LaneStats
  * bucket per model and per tenant (std::map so iteration — and the
- * summary() dump — is deterministic). `last_version` records the model
- * version most recently served, making hot-swaps observable from stats.
+ * summary() dump — is deterministic). `last_version` records the newest
+ * model version served, making hot-swaps observable from stats.
  */
 struct FrontDoorStats
 {
     uint64_t batches = 0;  ///< executed batches across all models
 
+    /** Workers that initiated at least one batch OR stole at least one
+     * shard block from another worker's batch (EngineStats semantics). */
+    int active_workers = 0;
+
     LaneStats total;                         ///< all traffic combined
     std::map<std::string, LaneStats> models; ///< per published model
     std::map<std::string, LaneStats> tenants;///< per tenant bucket
 
-    /** Model version most recently served, per model. */
+    /** Newest model version served so far, per model. Versions only
+     * grow, so a batch pinned to an older snapshot that finishes after
+     * a newer one cannot roll this back. */
     std::map<std::string, uint64_t> last_version;
 
     /** Multi-line human-readable digest (deterministic ordering). */

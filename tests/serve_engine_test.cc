@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -1028,7 +1029,10 @@ TEST(InferenceEngine, ShardStealingWorkersCountAsActive)
     // encode/gather averages). ONE big sharded batch guarantees exactly
     // one initiator, so before the fix this engine deterministically
     // reported active_workers == 1; the second worker has dozens of
-    // shard blocks across the stage phases to claim.
+    // shard blocks across the stage phases to claim. The batch is big
+    // enough (tens of ms) that a helper delayed by a loaded host (a
+    // parallel ctest run) still wakes before the initiator has claimed
+    // every block of every phase.
     std::vector<sim::GemmShape> gemms{{4, 256, 192, "a"},
                                       {4, 192, 128, "b"},
                                       {4, 128, 64, "c"}};
@@ -1040,10 +1044,10 @@ TEST(InferenceEngine, ShardStealingWorkersCountAsActive)
 
     serve::EngineOptions options;
     options.threads = 2;
-    options.max_batch = 512;
+    options.max_batch = 2048;
     auto engine = serve::InferenceEngine::create(*model, options);
     ASSERT_TRUE(engine.ok()) << engine.status().toString();
-    auto result = engine.value()->submit(randomRows(512, 256, 300));
+    auto result = engine.value()->submit(randomRows(2048, 256, 300));
     ASSERT_TRUE(result.ok()) << result.status().toString();
     engine.value()->shutdown();
 
@@ -1236,6 +1240,68 @@ TEST(InferenceEngine, StatsSplitQueueWaitFromServiceTime)
     const std::string summary = stats.summary();
     EXPECT_NE(summary.find("queue"), std::string::npos);
     EXPECT_NE(summary.find("service"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Work-conserving batch windows: an open batch waits for more rows only
+// while every other worker is busy.
+
+/** Small single-stage trace model: 16 inputs, 12 outputs. */
+serve::FrozenModel
+smallTraceModel()
+{
+    std::vector<sim::GemmShape> gemms{{4, 16, 12, "a"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    auto model = serve::FrozenModel::fromTrace(gemms, pq);
+    EXPECT_TRUE(model.ok()) << model.status().toString();
+    return model.take();
+}
+
+TEST(InferenceEngine, IdleWorkerClosesTheBatchWindowAtOnce)
+{
+    // With a second worker parked idle, holding the batch open gains
+    // nothing: that worker takes the next arrival itself. A lone request
+    // must not wait out the 10 s window.
+    serve::EngineOptions options;
+    options.threads = 2;
+    options.max_wait_us = 10'000'000;
+    auto engine = serve::InferenceEngine::create(smallTraceModel(), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().toString();
+
+    const auto start = std::chrono::steady_clock::now();
+    auto result = engine.value()->submit(randomRows(1, 16, 5));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_LT(elapsed, std::chrono::seconds(1))
+        << "batch held open while another worker was idle";
+    const serve::EngineStats stats = engine.value()->stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.requests, 1u);
+}
+
+TEST(InferenceEngine, SingleWorkerStillWaitsOutTheBatchWindow)
+{
+    // One worker: "every other worker is busy" holds vacuously, so the
+    // open batch keeps waiting and a second live submission joins it.
+    serve::EngineOptions options;
+    options.threads = 1;
+    options.max_batch = 2;  // the batch closes as soon as both rows join
+    options.max_wait_us = 500'000;
+    auto engine = serve::InferenceEngine::create(smallTraceModel(), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().toString();
+
+    auto first = engine.value()->submitAsync(randomRows(1, 16, 6));
+    // Let the worker open the batch, so the second request can only
+    // join it by arriving inside the window.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto second = engine.value()->submitAsync(randomRows(1, 16, 7));
+    ASSERT_TRUE(first.get().ok());
+    ASSERT_TRUE(second.get().ok());
+    const serve::EngineStats stats = engine.value()->stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.batch_fill[2], 1u);
 }
 
 } // namespace

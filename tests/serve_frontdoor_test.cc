@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -552,6 +553,93 @@ TEST(FrontDoor, ShutdownAnswersEverythingAccepted)
     cold.value()->shutdown();
     EXPECT_EQ(orphan.get().status().code(),
               api::StatusCode::FailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// Work-conserving batch windows: an open batch waits for more rows only
+// while every other worker is busy.
+
+TEST(FrontDoor, IdleWorkerClosesTheBatchWindowAtOnce)
+{
+    // With a second worker parked idle, holding the batch open gains
+    // nothing: that worker takes the next arrival itself. A lone request
+    // must not wait out the 10 s window.
+    serve::FrontDoorOptions options;
+    options.threads = 2;
+    auto door = serve::FrontDoor::create(options);
+    ASSERT_TRUE(door.ok());
+    serve::ModelSlo slo;
+    slo.batch_window_us = 10'000'000;
+    ASSERT_TRUE(door.value()->publish("m", traceModel(1), slo).ok());
+
+    const auto start = std::chrono::steady_clock::now();
+    auto result = door.value()->submit("m", randomRows(1, 24, 5));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_LT(elapsed, std::chrono::seconds(1))
+        << "batch held open while another worker was idle";
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.total.served, 1u);
+}
+
+TEST(FrontDoor, SingleWorkerStillWaitsOutTheBatchWindow)
+{
+    // One worker: "every other worker is busy" holds vacuously, so the
+    // open batch keeps waiting and a second live submission joins it.
+    serve::FrontDoorOptions options;
+    options.threads = 1;
+    auto door = serve::FrontDoor::create(options);
+    ASSERT_TRUE(door.ok());
+    serve::ModelSlo slo;
+    slo.max_batch = 2;  // the batch closes as soon as both rows join
+    slo.batch_window_us = 500'000;
+    ASSERT_TRUE(door.value()->publish("m", traceModel(1), slo).ok());
+
+    auto first = door.value()->submitAsync("m", randomRows(1, 24, 6));
+    // Let the worker open the batch, so the second request can only
+    // join it by arriving inside the window.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto second = door.value()->submitAsync("m", randomRows(1, 24, 7));
+    ASSERT_TRUE(first.get().ok());
+    ASSERT_TRUE(second.get().ok());
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.total.served, 2u);
+}
+
+TEST(FrontDoor, ShardStealingWorkersCountAsActive)
+{
+    // Same regression as the engine's: ONE big sharded batch has exactly
+    // one initiator, so the second worker only ever steals shard blocks
+    // and must still count as active. The batch is big enough (tens of
+    // ms, dozens of blocks per phase) that the helper cannot sleep
+    // through every phase.
+    std::vector<sim::GemmShape> gemms{{4, 256, 192, "a"},
+                                      {4, 192, 128, "b"},
+                                      {4, 128, 64, "c"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    auto model = serve::FrozenModel::fromTrace(gemms, pq);
+    ASSERT_TRUE(model.ok()) << model.status().toString();
+
+    serve::FrontDoorOptions options;
+    options.threads = 2;
+    auto door = serve::FrontDoor::create(options);
+    ASSERT_TRUE(door.ok());
+    serve::ModelSlo slo;
+    slo.max_batch = 2048;
+    ASSERT_TRUE(door.value()->publish("m", model.take(), slo).ok());
+    auto result = door.value()->submit("m", randomRows(2048, 256, 300));
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    door.value()->shutdown();
+
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.active_workers, 2)
+        << "shard-stealing helper not counted as active";
+    EXPECT_NE(stats.summary().find("2 active workers"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
